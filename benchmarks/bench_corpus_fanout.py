@@ -61,13 +61,13 @@ def _indexed_bytes(count: int) -> int:
 
 
 def test_corpus_fanout(corpus):
-    # Same walk scenarios as the data-plane bench, so the on-disk drive
-    # cache shares the entries between the two suites.
+    # Same walk scenarios as the data-plane bench, so the on-disk corpus
+    # store shares the entries between the two suites.
     scenarios = [
         city_walk_scenario(OPX, (BandClass.MMWAVE,), duration_min=WALK_MIN, seed=261 + i)
         for i in range(WALKS)
     ]
-    logs = run_drives(scenarios, cache=corpus.drive_cache)
+    logs = run_drives(scenarios, store=corpus.store)
     timer = Timer()
 
     # --- shipped bytes: pickle-per-job vs (token, index) ---

@@ -10,7 +10,9 @@ the claims:
   rerun from the committed shards: exactly n−k drives simulate, and the
   resumed build's wall-clock reflects only the missing work.
 * **Warm open latency** — ``open_slice`` (mmap + header arithmetic) vs.
-  ``load_columnar`` (zlib decompress) per drive.
+  loading a compressed per-drive ``.npz`` archive (zlib decompress) —
+  the drive format the store replaced, written here with
+  ``np.savez_compressed`` as the comparison leg.
 * **Peak RSS** — a full-corpus §5.1 frequency + §5.3 energy scan in a
   forked child, store leg (columnar analyses over memmap slices)
   vs. ``.npz`` leg (materialise every ``DriveLog``, list-based
@@ -22,8 +24,8 @@ the claims:
 
 Results land in ``BENCH_corpus_store.json`` at the repo root.
 ``REPRO_BENCH_SMOKE=1`` shrinks the corpus to a CI smoke budget. The
-store directories are bench-private temp dirs — the shared drive cache
-and ``REPRO_CORPUS_DIR`` are never touched.
+store directories are bench-private temp dirs — the shared
+``REPRO_CACHE_DIR`` corpus is never touched.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import resource
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.energy import energy_breakdown, energy_breakdown_reference
@@ -43,11 +46,11 @@ from repro.analysis.frequency import (
     frequency_breakdown,
     frequency_breakdown_reference,
 )
+from repro.net.bearer import BearerMode
 from repro.perf import Timer
 from repro.radio.bands import BandClass
 from repro.ran import OPX
-from repro.simulate.cache import DriveCache
-from repro.simulate.columnar import load_columnar
+from repro.simulate.columnar import ARRAY_KEYS, ColumnarLog
 from repro.simulate.corpus import CorpusStore
 from repro.simulate.runner import default_workers, run_drives_to_store
 from repro.simulate.scenarios import freeway_scenario
@@ -78,6 +81,28 @@ def _scenarios():
     ]
 
 
+def _save_npz(path, clog):
+    """One drive as a compressed per-drive archive (the comparison leg)."""
+    np.savez_compressed(
+        path,
+        carrier=np.array(clog.carrier),
+        bearer=np.array("" if clog.bearer is None else clog.bearer.name),
+        scenario=np.array(clog.scenario),
+        **clog.arrays,
+    )
+
+
+def _load_npz(path):
+    with np.load(path, allow_pickle=False) as archive:
+        bearer = str(archive["bearer"][()])
+        return ColumnarLog(
+            str(archive["carrier"][()]),
+            BearerMode[bearer] if bearer else None,
+            str(archive["scenario"][()]),
+            {key: archive[key] for key in ARRAY_KEYS},
+        )
+
+
 def _analyse_store(root, drive_ids):
     """Full-corpus scan over memmap slices: nothing materialised."""
     store = CorpusStore(root, enabled=True)
@@ -89,7 +114,7 @@ def _analyse_store(root, drive_ids):
 
 def _analyse_npz(paths):
     """The pre-store consumer pattern: every log decompressed + rebuilt."""
-    logs = [load_columnar(p).to_drive_log() for p in paths]
+    logs = [_load_npz(p).to_drive_log() for p in paths]
     freq = frequency_breakdown_reference(logs)
     energy = energy_breakdown_reference(logs, FIVE_G_NSA_TYPES)
     return (freq.distance_km, freq.spacing_5g_nsa_km, energy.energy_per_km_j)
@@ -130,7 +155,7 @@ def _killed_build(root, kill_after, conn):
         return stored
 
     CorpusStore.append = mortal_append
-    run_drives_to_store(_scenarios(), workers=1, store=store, use_cache=False)
+    run_drives_to_store(_scenarios(), workers=1, store=store)
     os._exit(0)  # not reached
 
 
@@ -150,9 +175,7 @@ def test_corpus_store(corpus):
         cold_store = CorpusStore(cold_root, enabled=True)
         _, view = timer.timed(
             "cold_build",
-            lambda: run_drives_to_store(
-                scenarios, workers=workers, store=cold_store, use_cache=False
-            ),
+            lambda: run_drives_to_store(scenarios, workers=workers, store=cold_store),
         )
         assert cold_store.stats["appends"] == DRIVES
 
@@ -174,20 +197,17 @@ def test_corpus_store(corpus):
         assert survivors == kill_after  # committed shards survived the kill
         _, _ = timer.timed(
             "resumed_build",
-            lambda: run_drives_to_store(
-                scenarios, workers=workers, store=resumed_store, use_cache=False
-            ),
+            lambda: run_drives_to_store(scenarios, workers=workers, store=resumed_store),
         )
         resimulated = resumed_store.stats["appends"]
         assert resimulated == DRIVES - kill_after
         assert len(resumed_store) == DRIVES
 
         # --- the per-drive .npz comparison corpus (no re-simulation) ---
-        npz_cache = DriveCache(npz_root, enabled=True, store=None)
-        for i, scenario in enumerate(scenarios):
-            npz_cache.put(scenario, view.ref(i).load())
-        npz_paths = sorted(npz_root.glob("*.npz"))
-        assert len(npz_paths) == DRIVES
+        npz_root.mkdir()
+        npz_paths = [npz_root / f"{drive_id}.npz" for drive_id in view.drive_ids]
+        for i, path in enumerate(npz_paths):
+            _save_npz(path, view.columnar(i))
 
         # --- warm open latency: mmap slice vs .npz decompress ---
         warm_store = CorpusStore(cold_root, enabled=True)
@@ -200,7 +220,7 @@ def test_corpus_store(corpus):
         )
         npz_open_s, _ = timer.timed(
             "npz_open",
-            lambda: [load_columnar(p) for _ in range(3) for p in npz_paths],
+            lambda: [_load_npz(p) for _ in range(3) for p in npz_paths],
         )
 
         # --- peak RSS: full-corpus scan, store leg vs .npz leg ---

@@ -50,14 +50,14 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_dataplane.json"
 
 
 def test_dataplane_throughput(corpus):
-    # Same walk scenarios as the prediction bench, so the on-disk drive
-    # cache shares the entries between the two suites.
+    # Same walk scenarios as the prediction bench, so the on-disk corpus
+    # store shares the entries between the two suites.
     logs = run_drives(
         [
             city_walk_scenario(OPX, (BandClass.MMWAVE,), duration_min=WALK_MIN, seed=261 + i)
             for i in range(WALKS)
         ],
-        cache=corpus.drive_cache,
+        store=corpus.store,
     )
     ticks = sum(len(log.ticks) for log in logs)
     timer = Timer()
@@ -123,7 +123,7 @@ def test_dataplane_throughput(corpus):
     prognos_steps = len(run.predictions)
 
     # --- derived-dataset cache: cold build vs warm load ---
-    cache = DatasetCache(corpus.drive_cache.root)
+    cache = DatasetCache()
     params = {"stride": 5}
     builder = lambda: build_radio_feature_dataset(logs, stride=5)
     cold_s, dataset = timer.timed(

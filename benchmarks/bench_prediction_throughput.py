@@ -68,7 +68,7 @@ def test_prediction_throughput(corpus):
             city_walk_scenario(OPX, (BandClass.MMWAVE,), duration_min=WALK_MIN, seed=261 + i)
             for i in range(WALKS)
         ],
-        cache=corpus.drive_cache,
+        store=corpus.store,
     )
     ticks = sum(len(log.ticks) for log in logs)
     timer = Timer()
@@ -142,7 +142,7 @@ def test_prediction_throughput(corpus):
     speedup = reference_total / cold_total
 
     # --- warm pass: the trained-model cache skips retraining ---
-    cache = ModelCache(corpus.drive_cache.root)
+    cache = ModelCache()
     params = {"hidden_dim": 24, "epochs": epochs}
     fit_cached(
         "lstm",

@@ -80,7 +80,7 @@ def test_serving_throughput(corpus):
             freeway_scenario(OPX, BandClass.LOW, length_km=LENGTH_KM, seed=331 + i)
             for i in range(DRIVES)
         ],
-        cache=corpus.drive_cache,
+        store=corpus.store,
     )
     configs = configs_for_log(OPX, (BandClass.LOW,))
 
@@ -165,7 +165,7 @@ def test_shard_scaling(corpus):
             freeway_scenario(OPX, BandClass.LOW, length_km=LENGTH_KM, seed=331 + i)
             for i in range(DRIVES)
         ],
-        cache=corpus.drive_cache,
+        store=corpus.store,
     )
     configs = configs_for_log(OPX, (BandClass.LOW,))
     offline = []
@@ -277,7 +277,7 @@ def test_serving_resilience(corpus, monkeypatch):
             freeway_scenario(OPX, BandClass.LOW, length_km=RES_LENGTH_KM, seed=411 + i)
             for i in range(2)
         ],
-        cache=corpus.drive_cache,
+        store=corpus.store,
     )
     configs = configs_for_log(OPX, (BandClass.LOW,))
     offline = []

@@ -3,7 +3,7 @@
 Measures single-drive tick throughput on the 20 km low-band freeway
 drive (the corpus's workhorse scenario), the speedup of the vectorized
 radio pipeline over the scalar reference, the effect of fanning a small
-corpus out over worker processes, and the drive cache's ability to skip
+corpus out over worker processes, and the corpus store's ability to skip
 simulation entirely on a warm second pass. Results land in
 ``BENCH_simulator.json`` at the repo root.
 
@@ -23,7 +23,7 @@ import numpy as np
 from repro.perf import Timer
 from repro.radio.bands import BandClass
 from repro.ran import OPX
-from repro.simulate.cache import DriveCache
+from repro.simulate.corpus import CorpusStore
 from repro.simulate.runner import run_drives
 from repro.simulate.scenarios import freeway_scenario
 from repro.simulate.simulator import DriveSimulator
@@ -77,13 +77,13 @@ def test_simulator_throughput(corpus):
     )
     assert [len(l.ticks) for l in serial_logs] == [len(l.ticks) for l in parallel_logs]
 
-    # --- warm-cache pass: the second resolution simulates nothing ---
-    cache = DriveCache()
-    run_drives([scenario], workers=1, cache=cache)
+    # --- warm-store pass: the second resolution simulates nothing ---
+    store = CorpusStore()
+    run_drives([scenario], workers=1, store=store)
     warm_s, _ = timer.timed(
-        "warm_cache", lambda: run_drives([scenario], workers=1, cache=cache)
+        "warm_cache", lambda: run_drives([scenario], workers=1, store=store)
     )
-    assert cache.enabled is False or cache.stats["hits"] >= 1
+    assert store.enabled is False or store.stats["hits"] >= 1
 
     result = {
         "scenario": scenario.name,
@@ -100,7 +100,7 @@ def test_simulator_throughput(corpus):
         "fleet_parallel_s": round(parallel_s, 3),
         "fleet_workers": workers,
         "warm_cache_s": round(warm_s, 3),
-        "cache_stats": cache.stats,
+        "cache_stats": store.stats,
         "smoke": SMOKE,
     }
     OUT_PATH.write_text(json.dumps(result, indent=2) + "\n")
@@ -119,7 +119,7 @@ def test_simulator_throughput(corpus):
         f"  fleet of {len(fleet)}: serial {serial_s:.2f}s, "
         f"{workers} workers {parallel_s:.2f}s"
     )
-    print(f"  warm cache resolve: {warm_s * 1000:.0f} ms ({cache.stats})")
+    print(f"  warm store resolve: {warm_s * 1000:.0f} ms ({store.stats})")
     print(f"  -> {OUT_PATH.name}")
 
     if not SMOKE:

@@ -3,8 +3,8 @@
 Every bench regenerates one of the paper's tables/figures from simulated
 drive logs. Builders declare *scenarios*; :class:`Corpus` turns them
 into logs through :func:`repro.simulate.runner.run_drives`, which
-consults the on-disk :class:`~repro.simulate.cache.DriveCache` first
-(so a warm cache skips simulation entirely) and fans cache misses out
+consults the on-disk :class:`~repro.simulate.corpus.CorpusStore` first
+(so a warm store skips simulation entirely) and fans store misses out
 over ``REPRO_BENCH_WORKERS`` processes. Within a session the logs are
 additionally memoised in memory.
 
@@ -12,7 +12,8 @@ Scale: simulating the full 6,200 km corpus is possible but slow; the
 benches default to reduced mileage/durations that keep the whole suite
 in the tens of minutes while leaving every distribution well-populated.
 Set ``REPRO_BENCH_SCALE=full`` for larger runs. ``REPRO_NO_CACHE=1``
-disables the disk cache; ``REPRO_CACHE_DIR`` relocates it.
+disables the store; ``REPRO_CACHE_DIR`` relocates it (to
+``<cache>/corpus``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import pytest
 from repro.net.bearer import BearerMode
 from repro.radio.bands import BandClass
 from repro.ran import OPX, OPY, OPZ
-from repro.simulate.cache import DriveCache
+from repro.simulate.corpus import CorpusStore
 from repro.simulate.runner import run_drives
 from repro.simulate.scenarios import (
     Scenario,
@@ -46,27 +47,22 @@ class Corpus:
     """Lazily-built, memoised simulation corpus.
 
     Builders produce :class:`Scenario` objects; ``_get`` resolves them
-    into drive logs via the cached, parallel runner.
+    into drive logs via the store-backed, parallel runner.
     """
 
     def __init__(self):
         self._cache = {}
-        self.drive_cache = DriveCache()
+        self.store = CorpusStore()
 
     def _get(self, key, builder):
         if key not in self._cache:
             built = builder()
             if isinstance(built, Scenario):
-                logs = run_drives([built], cache=self.drive_cache)
+                logs = run_drives([built], store=self.store)
                 self._cache[key] = logs[0]
             else:
-                self._cache[key] = run_drives(built, cache=self.drive_cache)
+                self._cache[key] = run_drives(built, store=self.store)
         return self._cache[key]
-
-    @property
-    def cache_stats(self) -> dict[str, int]:
-        """Hit/miss/store counters of the on-disk drive cache."""
-        return self.drive_cache.stats
 
     # --- freeway characterization drives (§5.1, Figs. 8-9) ---
 
@@ -305,11 +301,12 @@ class Corpus:
 def corpus():
     corpus = Corpus()
     yield corpus
-    stats = corpus.cache_stats
+    stats = corpus.store.stats
     if stats["hits"] or stats["misses"]:
         print(
-            f"\n[drive-cache] hits={stats['hits']} misses={stats['misses']} "
-            f"stores={stats['stores']} root={corpus.drive_cache.root}"
+            f"\n[corpus-store] hits={stats['hits']} misses={stats['misses']} "
+            f"appends={stats['appends']} put_failures={stats['put_failures']} "
+            f"root={corpus.store.root}"
         )
 
 

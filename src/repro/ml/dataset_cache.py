@@ -9,14 +9,15 @@ bit-for-bit:
 * the builder kind and its parameters (stride, window, ...),
 * a content digest of every input drive log (ticks, reports,
   handovers — not the object identity), and
-* the same code-version token the drive/model caches use — a hash over
-  the ``repro`` package sources — so editing a feature-extraction
-  constant silently invalidates stale entries instead of serving
-  matrices produced by old code.
+* the same code-version token the drive corpus and model cache use —
+  a hash over the ``repro`` package sources — so editing a
+  feature-extraction constant silently invalidates stale entries
+  instead of serving matrices produced by old code.
 
-It shares the :mod:`repro.simulate.cache` knobs: ``REPRO_CACHE_DIR``
-relocates the root (datasets live under a ``datasets/`` subdirectory
-next to drive logs and models), ``REPRO_NO_CACHE=1`` disables caching
+It runs on :class:`~repro.content_store.ContentStore` and shares the
+cache knobs of :mod:`repro.env`: ``REPRO_CACHE_DIR`` relocates the
+root (datasets live under a ``datasets/`` subdirectory next to the
+drive corpus and models), ``REPRO_NO_CACHE=1`` disables caching
 entirely. Entries are ``.npz`` archives — arrays round-trip losslessly
 and labels are stored by enum name.
 """
@@ -25,19 +26,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import zipfile
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.content_store import Codec, ContentStore
+from repro.env import cache_root
 from repro.ml.features import LabeledDataset
 from repro.rrc.taxonomy import HandoverType
-from repro.simulate.cache import atomic_publish, code_version_token
+from repro.simulate.cache import code_version_token
 from repro.simulate.records import DriveLog
-
-_DEFAULT_ROOT = ".repro-cache"
 
 
 def log_content_digest(log) -> str:
@@ -45,7 +45,7 @@ def log_content_digest(log) -> str:
 
     Hashes the log's packed columnar arrays
     (:meth:`DriveLog.columnar`) rather than pickling tick tuples: logs
-    served by the drive cache are already columnar-backed, so their
+    served by the corpus store are already columnar-backed, so their
     digest is a straight pass over the loaded arrays, and fresh logs
     pack once into a form the cache store reuses. Memoized on the log
     instance, as the Table 3 drivers digest the same logs once per
@@ -63,28 +63,43 @@ def log_content_digest(log) -> str:
     return token
 
 
-class DatasetCache:
+def _encode_dataset(dataset: LabeledDataset, handle) -> None:
+    np.savez_compressed(
+        handle,
+        x=dataset.x,
+        times_s=dataset.times_s,
+        labels=np.array([label.name for label in dataset.labels]),
+    )
+
+
+def _decode_dataset(handle) -> LabeledDataset:
+    with np.load(handle, allow_pickle=False) as archive:
+        x = archive["x"]
+        times_s = archive["times_s"]
+        labels = [HandoverType[name] for name in archive["labels"].tolist()]
+    return LabeledDataset(x, labels, times_s)
+
+
+DATASET_CODEC = Codec(
+    suffix=".npz",
+    encode=_encode_dataset,
+    decode=_decode_dataset,
+    corrupt=(EOFError, KeyError, ValueError, zipfile.BadZipFile),
+)
+
+
+class DatasetCache(ContentStore):
     """Content-addressed store of derived feature datasets.
 
-    Entries live under ``root/datasets`` as ``<kind>-<key>.npz``.
-    Lookups on a disabled cache always miss; stores become no-ops.
-    Like the drive cache it is self-healing: failed writes degrade to
-    a counted no-op (``put_failures``) and undecodable entries are
-    quarantined to ``*.corrupt`` (``corrupt``) so they miss once.
+    Entries live under ``root/datasets`` as ``<kind>-<key>.npz``, with
+    the self-healing :class:`~repro.content_store.ContentStore`
+    semantics: disabled caches miss, failed writes are counted
+    ``put_failures``, undecodable entries are quarantined.
     """
 
     def __init__(self, root: str | Path | None = None, *, enabled: bool | None = None):
-        if enabled is None:
-            enabled = os.environ.get("REPRO_NO_CACHE", "") != "1"
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR") or _DEFAULT_ROOT
-        self.root = Path(root) / "datasets"
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.put_failures = 0
-        self.corrupt = 0
+        root = cache_root() if root is None else Path(root)
+        super().__init__(root / "datasets", DATASET_CODEC, enabled=enabled)
 
     @staticmethod
     def key_for(kind: str, logs: Sequence[DriveLog], params: dict) -> str:
@@ -99,71 +114,6 @@ class DatasetCache:
             separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode()).hexdigest()
-
-    def _path(self, kind: str, key: str) -> Path:
-        return self.root / f"{kind}-{key}.npz"
-
-    def get(self, kind: str, key: str) -> LabeledDataset | None:
-        """The cached dataset, or None on a miss."""
-        if not self.enabled:
-            self.misses += 1
-            return None
-        path = self._path(kind, key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                x = archive["x"]
-                times_s = archive["times_s"]
-                labels = [HandoverType[name] for name in archive["labels"].tolist()]
-        except (EOFError, KeyError, ValueError, zipfile.BadZipFile):
-            # Undecodable entry: miss, and quarantine it so the next
-            # lookup misses cheaply instead of re-parsing it forever.
-            self.corrupt += 1
-            try:
-                path.replace(path.with_name(path.name + ".corrupt"))
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        except OSError:
-            # Transient read failure: a plain miss.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return LabeledDataset(x, labels, times_s)
-
-    def put(self, kind: str, key: str, dataset: LabeledDataset) -> None:
-        if not self.enabled:
-            return
-        path = self._path(kind, key)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with atomic_publish(path) as tmp:
-                with open(tmp, "wb") as fh:
-                    np.savez_compressed(
-                        fh,
-                        x=dataset.x,
-                        times_s=dataset.times_s,
-                        labels=np.array([label.name for label in dataset.labels]),
-                    )
-        except OSError:
-            # Full disk / read-only cache dir: degrade to a counted
-            # no-op, never abort the run that built the dataset.
-            self.put_failures += 1
-            return
-        self.stores += 1
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "put_failures": self.put_failures,
-            "corrupt": self.corrupt,
-        }
 
 
 def build_cached(

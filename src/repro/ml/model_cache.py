@@ -6,16 +6,17 @@ by a sha256 over everything that determines the fit bit-for-bit:
 
 * the estimator kind and its hyperparameters,
 * the training arrays (shape, dtype, raw bytes) and label names, and
-* the same code-version token the drive cache uses — a hash over the
+* the same code-version token the drive corpus uses — a hash over the
   ``repro`` package sources — so editing any model code silently
   invalidates stale entries instead of serving models produced by old
   code.
 
-It shares the :mod:`repro.simulate.cache` infrastructure and knobs:
-``REPRO_CACHE_DIR`` relocates the root (models live under a
-``models/`` subdirectory next to the drive logs), ``REPRO_NO_CACHE=1``
-disables it entirely. Entries are gzipped pickles — models are pure
-numpy containers produced by this package, not untrusted input.
+It runs on :class:`~repro.content_store.ContentStore` and shares the
+cache knobs of :mod:`repro.env`: ``REPRO_CACHE_DIR`` relocates the
+root (models live under a ``models/`` subdirectory next to the drive
+corpus), ``REPRO_NO_CACHE=1`` disables it entirely. Entries are
+gzipped pickles — models are pure numpy containers produced by this
+package, not untrusted input.
 """
 
 from __future__ import annotations
@@ -23,16 +24,15 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
-import os
 import pickle
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from repro.simulate.cache import atomic_publish, code_version_token
-
-_DEFAULT_ROOT = ".repro-cache"
+from repro.content_store import Codec, ContentStore
+from repro.env import cache_root
+from repro.simulate.cache import code_version_token
 
 
 def dataset_digest(x: np.ndarray, labels: list[object]) -> str:
@@ -47,28 +47,38 @@ def dataset_digest(x: np.ndarray, labels: list[object]) -> str:
     return digest.hexdigest()
 
 
-class ModelCache:
+def _encode_model(model, handle) -> None:
+    with gzip.open(handle, "wb", compresslevel=6) as fh:
+        pickle.dump(model, fh, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _decode_model(handle):
+    with gzip.open(handle, "rb") as fh:
+        return pickle.load(fh)
+
+
+MODEL_CODEC = Codec(
+    suffix=".pkl.gz",
+    encode=_encode_model,
+    decode=_decode_model,
+    # BadGzipFile is an OSError subclass: the content store checks
+    # these before treating an OSError as a transient miss.
+    corrupt=(EOFError, pickle.UnpicklingError, gzip.BadGzipFile),
+)
+
+
+class ModelCache(ContentStore):
     """Content-addressed store of fitted models.
 
-    Entries live under ``root/models`` as ``<kind>-<key>.pkl.gz``.
-    Lookups on a disabled cache always miss; stores become no-ops.
-    Like the drive cache it is self-healing: failed writes degrade to
-    a counted no-op (``put_failures``) and undecodable entries are
-    quarantined to ``*.corrupt`` (``corrupt``) so they miss once.
+    Entries live under ``root/models`` as ``<kind>-<key>.pkl.gz``, with
+    the self-healing :class:`~repro.content_store.ContentStore`
+    semantics: disabled caches miss, failed writes are counted
+    ``put_failures``, undecodable entries are quarantined.
     """
 
     def __init__(self, root: str | Path | None = None, *, enabled: bool | None = None):
-        if enabled is None:
-            enabled = os.environ.get("REPRO_NO_CACHE", "") != "1"
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR") or _DEFAULT_ROOT
-        self.root = Path(root) / "models"
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.put_failures = 0
-        self.corrupt = 0
+        root = cache_root() if root is None else Path(root)
+        super().__init__(root / "models", MODEL_CODEC, enabled=enabled)
 
     @staticmethod
     def key_for(kind: str, data_digest: str, params: dict) -> str:
@@ -83,65 +93,6 @@ class ModelCache:
             separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode()).hexdigest()
-
-    def _path(self, kind: str, key: str) -> Path:
-        return self.root / f"{kind}-{key}.pkl.gz"
-
-    def get(self, kind: str, key: str):
-        """The cached model, or None on a miss."""
-        if not self.enabled:
-            self.misses += 1
-            return None
-        path = self._path(kind, key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
-            with gzip.open(path, "rb") as fh:
-                model = pickle.load(fh)
-        except (EOFError, pickle.UnpicklingError, gzip.BadGzipFile):
-            # Undecodable entry (BadGzipFile is an OSError subclass,
-            # so it must be caught before the transient clause): miss,
-            # and quarantine so the next lookup misses cheaply.
-            self.corrupt += 1
-            try:
-                path.replace(path.with_name(path.name + ".corrupt"))
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        except OSError:
-            # Transient read failure: a plain miss.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return model
-
-    def put(self, kind: str, key: str, model) -> None:
-        if not self.enabled:
-            return
-        path = self._path(kind, key)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with atomic_publish(path) as tmp:
-                with gzip.open(tmp, "wb", compresslevel=6) as fh:
-                    pickle.dump(model, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        except OSError:
-            # Full disk / read-only cache dir: degrade to a counted
-            # no-op, never abort the run that fitted the model.
-            self.put_failures += 1
-            return
-        self.stores += 1
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "put_failures": self.put_failures,
-            "corrupt": self.corrupt,
-        }
 
 
 def fit_cached(

@@ -9,10 +9,11 @@ internal phase breakdown visible without editing it.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, TypeVar
+
+from repro.env import env_flag
 
 T = TypeVar("T")
 
@@ -27,7 +28,7 @@ class Timer:
 
     def __init__(self, *, echo: bool | None = None):
         if echo is None:
-            echo = os.environ.get("REPRO_PERF", "") == "1"
+            echo = env_flag("REPRO_PERF")
         self.echo = echo
         #: Accumulated seconds per span name (re-entering a name adds).
         self.spans: dict[str, float] = {}

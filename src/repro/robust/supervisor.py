@@ -43,16 +43,17 @@ platforms without ``fork`` take), so Linux CI exercises it too.
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
 import os
 import signal
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro.env import env_float, env_int
 from repro.robust import faults
 from repro.simulate import fanout
 
@@ -84,30 +85,15 @@ def last_run_stats() -> RunStats | None:
     return _last_run_stats
 
 
-def _env_number(name: str, default: float, cast: Callable[[str], float]) -> float:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        warnings.warn(
-            f"{name}={raw!r} is not a number; using the default {default}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return default
-
-
 def job_timeout_s() -> float | None:
     """Per-job timeout from ``REPRO_JOB_TIMEOUT_S`` (<= 0 disables)."""
-    value = _env_number("REPRO_JOB_TIMEOUT_S", 0.0, float)
+    value = env_float("REPRO_JOB_TIMEOUT_S", 0.0, minimum=-math.inf)
     return value if value > 0 else None
 
 
 def job_retries() -> int:
     """Retry budget per job from ``REPRO_JOB_RETRIES`` (default 2)."""
-    return max(0, int(_env_number("REPRO_JOB_RETRIES", 2, int)))
+    return max(0, env_int("REPRO_JOB_RETRIES", 2, minimum=-math.inf))
 
 
 def backoff_s(round_no: int, salt: object = "") -> float:
@@ -353,8 +339,7 @@ def supervised_map(
     stats = RunStats(jobs=count)
     _last_run_stats = stats
 
-    force_spawn = os.environ.get("REPRO_FORCE_SPAWN", "") == "1"
-    ctx = None if force_spawn else fanout.fork_context()
+    ctx = None if fanout.force_spawn() else fanout.fork_context()
     if ctx is not None:
         stats.start_method = "fork"
         with fanout.shared_payload(payload_value) as token:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
-from repro.serve.env import env_int
+from repro.env import env_int
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class BatchTuning:
     """Micro-batcher knobs (``REPRO_SERVE_BATCH*``).
 
     Malformed or negative values warn once and fall back to the
-    defaults (:mod:`repro.serve.env`) instead of raising inside the
+    defaults (:mod:`repro.env`) instead of raising inside the
     server.
     """
 

@@ -72,7 +72,7 @@ from repro.core.patterns import Pattern
 from repro.core.prognos import PrognosConfig
 from repro.serve import protocol
 from repro.serve.batcher import BatchCollector, BatchTuning
-from repro.serve.env import env_float, env_int
+from repro.env import env_float, env_int
 from repro.serve.protocol import FrameError, frame, read_frame
 from repro.serve.forecast import forecast_batch
 from repro.serve.session import ServingSession, SessionState

@@ -81,7 +81,7 @@ from functools import partial
 
 from repro.robust.supervisor import backoff_s, reap_process
 from repro.serve import protocol
-from repro.serve.env import env_choice, env_int
+from repro.env import env_choice, env_int
 from repro.serve.server import MAX_EXPORT, PrognosServer, ServerConfig
 
 #: Largest handshake frame the controller will hand off (a hello is
@@ -114,7 +114,7 @@ def serve_shards() -> int:
 
     Defaults to ``cpu_count() - 1`` (one core stays with the
     controller/OS); malformed or non-positive values warn once and fall
-    back to that default (:mod:`repro.serve.env`).
+    back to that default (:mod:`repro.env`).
     """
     default = max(1, (os.cpu_count() or 2) - 1)
     return env_int("REPRO_SERVE_SHARDS", default, minimum=1)

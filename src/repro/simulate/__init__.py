@@ -32,14 +32,12 @@ from repro.simulate.dataset import (
     build_table1_dataset,
     DatasetSummary,
 )
-from repro.simulate.cache import DriveCache
-from repro.simulate.columnar import ColumnarLog, load_columnar, save_columnar
+from repro.simulate.columnar import ColumnarLog
 from repro.simulate.runner import run_drives
 
 __all__ = [
     "ColumnarLog",
     "DatasetSummary",
-    "DriveCache",
     "DriveLog",
     "DriveSimulator",
     "HandoverRecord",
@@ -54,7 +52,5 @@ __all__ = [
     "coverage_scenario",
     "energy_loop_scenario",
     "freeway_scenario",
-    "load_columnar",
     "run_drives",
-    "save_columnar",
 ]

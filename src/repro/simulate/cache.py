@@ -1,9 +1,9 @@
-"""On-disk corpus cache: content-addressed DriveLog storage.
+"""Content keys for simulated drives.
 
-Rebuilding the benchmark corpus dominates iteration time — every bench
-session re-simulated every drive from scratch. This module caches each
-:class:`~repro.simulate.records.DriveLog` on disk, keyed by a sha256
-over everything that determines the log bit-for-bit:
+A drive's log is a pure function of its scenario, so the corpus store
+(:class:`~repro.simulate.corpus.CorpusStore`) files each drive under
+:func:`scenario_key`: a sha256 over everything that determines the log
+bit-for-bit:
 
 * the scenario's name and seed,
 * every :class:`SimulationConfig` knob,
@@ -14,18 +14,6 @@ over everything that determines the log bit-for-bit:
 * a code-version token — a hash over the ``repro`` package sources —
   so editing the simulator silently invalidates stale entries instead
   of serving logs produced by old code.
-
-Environment knobs:
-
-* ``REPRO_CACHE_DIR`` relocates the cache root (default
-  ``./.repro-cache``).
-* ``REPRO_NO_CACHE=1`` disables the cache entirely (every lookup
-  misses, nothing is written).
-* ``REPRO_CORPUS_DIR`` attaches a :class:`~repro.simulate.corpus.
-  CorpusStore` at that path: lookups serve memory-mapped slices from
-  the sharded corpus (falling back to — and migrating — per-drive
-  ``.npz`` entries), and stores append to the corpus instead of
-  writing ``.npz`` files.
 """
 
 from __future__ import annotations
@@ -34,51 +22,14 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
-import secrets
-import zipfile
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 import repro
-from repro.robust import faults
-from repro.simulate.columnar import ColumnarLog, load_columnar, save_columnar
-from repro.simulate.records import DriveLog
 from repro.simulate.scenarios import Scenario
 
-_DEFAULT_ROOT = ".repro-cache"
 _code_version_token: str | None = None
-
-
-@contextmanager
-def atomic_publish(path: Path) -> Iterator[Path]:
-    """Yield a writer-unique temp path, atomically published to ``path``.
-
-    The temp name embeds the pid plus a random suffix so two processes
-    storing the same key never interleave writes into one file (a
-    deterministic temp name let parallel pytest runs or two benches
-    sharing ``REPRO_CACHE_DIR`` publish corrupt entries). The loser of
-    the final ``replace`` race simply overwrites the winner's identical
-    content. On failure the temp file is removed and nothing is
-    published.
-
-    The :mod:`repro.robust.faults` hooks make this the one choke point
-    for injected cache-write faults: ``cache_write_oserror`` raises
-    before anything is staged, ``cache_truncate`` corrupts the entry
-    after publication (exercising the readers' quarantine path).
-    """
-    faults.maybe_raise_cache_write(path.name)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
-    try:
-        yield tmp
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    faults.maybe_truncate(path)
 
 
 def code_version_token() -> str:
@@ -150,160 +101,9 @@ def scenario_fingerprint(scenario: Scenario) -> dict:
     }
 
 
-class DriveCache:
-    """Content-addressed store of simulated drive logs.
-
-    Entries live under ``root`` as ``<key>.npz`` — the packed columnar
-    codec of :mod:`repro.simulate.columnar` — where ``key`` is
-    :meth:`key_for` of the scenario. Hits materialise columnar-backed
-    logs, so their memoized per-log series are views over the loaded
-    arrays and re-packing (for digests or further stores) is free.
-    Lookups on a disabled cache always miss; stores become no-ops.
-
-    The cache is self-healing: a store that fails with ``OSError``
-    (disk full, read-only ``REPRO_CACHE_DIR``) is counted in
-    ``put_failures`` and otherwise ignored — a corpus run never aborts
-    because its cache is sick — and an entry that fails to decode is
-    quarantined (renamed ``<key>.npz.corrupt``, counted in
-    ``corrupt``) so it misses once, not on every lookup.
-
-    When a :class:`~repro.simulate.corpus.CorpusStore` is attached
-    (``store=`` explicitly, or by default whenever ``REPRO_CORPUS_DIR``
-    is set), the cache delegates to it behind the shared
-    ``FORMAT_VERSION`` gate: lookups try the store's memory-mapped
-    slices first and fall back to per-drive ``.npz`` entries — a
-    ``.npz`` hit is migrated into the corpus so the next lookup maps
-    instead of decompressing — and stores append to the corpus instead
-    of writing new ``.npz`` files. Without a store the on-disk format
-    and stats are exactly what they always were.
-    """
-
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        *,
-        enabled: bool | None = None,
-        store: "object | None" = "env",
-    ):
-        if enabled is None:
-            enabled = os.environ.get("REPRO_NO_CACHE", "") != "1"
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR") or _DEFAULT_ROOT
-        if store == "env":
-            from repro.simulate.corpus import CorpusStore
-
-            store = CorpusStore.from_env()
-        self.root = Path(root)
-        self.enabled = enabled
-        self.store = store
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.put_failures = 0
-        self.corrupt = 0
-
-    @staticmethod
-    def key_for(scenario: Scenario) -> str:
-        payload = json.dumps(
-            scenario_fingerprint(scenario), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.npz"
-
-    def get(self, scenario: Scenario) -> DriveLog | None:
-        """The cached log for ``scenario``, or None on a miss."""
-        clog = self.get_columnar(scenario)
-        return None if clog is None else clog.to_drive_log()
-
-    def get_columnar(self, scenario: Scenario) -> ColumnarLog | None:
-        """The cached packed arrays for ``scenario``, or None on a miss.
-
-        The fast path for consumers that scan columns and never touch
-        tick objects: no ``to_drive_log()`` rebuild. With a corpus
-        store attached the hit is a read-only memory-mapped slice
-        (pages fault in as they are scanned); a ``.npz`` fallback hit
-        is migrated into the corpus on the way out.
-        """
-        if not self.enabled:
-            self.misses += 1
-            return None
-        key = self.key_for(scenario)
-        if self.store is not None:
-            clog = self.store.open_slice(key)
-            if clog is not None:
-                self.hits += 1
-                return clog
-        path = self._path(key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
-            clog = load_columnar(path)
-        except (EOFError, ValueError, KeyError, zipfile.BadZipFile):
-            # A truncated or stale-format entry is a miss, not an
-            # error — and it will never decode, so quarantine it:
-            # rename to ``<key>.npz.corrupt`` (best-effort) so the next
-            # lookup misses cheaply instead of re-parsing a known-bad
-            # file forever.
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        except OSError:
-            # Transient read failure: a plain miss, the entry may be
-            # readable next time.
-            self.misses += 1
-            return None
-        if self.store is not None:
-            # Best-effort migration: next lookup maps from the corpus
-            # instead of decompressing this .npz again.
-            self.store.append(key, clog)
-        self.hits += 1
-        return clog
-
-    def _quarantine(self, path: Path) -> None:
-        self.corrupt += 1
-        try:
-            path.replace(path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass
-
-    def put(self, scenario: Scenario, log: DriveLog) -> None:
-        """Store ``log`` under the scenario's content key.
-
-        Write failures (disk full, read-only cache dir) degrade to a
-        counted no-op — the caller keeps its in-memory log either way.
-        With a corpus store attached the log is appended to the sharded
-        corpus instead (same exactly-once, same degradation: a failed
-        append counts here as a ``put_failure``).
-        """
-        if not self.enabled:
-            return
-        if self.store is not None:
-            failures_before = self.store.put_failures
-            if self.store.append(self.key_for(scenario), log.columnar()):
-                self.stores += 1
-            elif self.store.put_failures > failures_before:
-                self.put_failures += 1
-            return
-        path = self._path(self.key_for(scenario))
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with atomic_publish(path) as tmp:
-                with open(tmp, "wb") as handle:
-                    save_columnar(log.columnar(), handle)
-        except OSError:
-            self.put_failures += 1
-            return
-        self.stores += 1
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "put_failures": self.put_failures,
-            "corrupt": self.corrupt,
-        }
+def scenario_key(scenario: Scenario) -> str:
+    """The drive's content key: sha256 over :func:`scenario_fingerprint`."""
+    payload = json.dumps(
+        scenario_fingerprint(scenario), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()

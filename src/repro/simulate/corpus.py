@@ -1,11 +1,7 @@
 """Out-of-core sharded corpus store: memory-mapped zero-copy slices.
 
-The per-drive ``.npz`` entries of :class:`~repro.simulate.cache.DriveCache`
-made warm runs skip *simulation*, but every use still decompressed and
-materialised a whole drive — a full-corpus scan paid RAM for every tick
-of every drive, and ``REPRO_BENCH_SCALE=full`` corpora were approaching
-what one machine can hold. :class:`CorpusStore` consolidates drives
-into *sharded, uncompressed, memory-mappable* corpus files:
+:class:`CorpusStore` is the only on-disk drive format. It consolidates
+drives into *sharded, uncompressed, memory-mappable* corpus files:
 
 * one arrays blob per shard (``shard-NNNNNN.bin`` — the packed
   :data:`~repro.simulate.columnar.ARRAY_KEYS` arrays of many drives,
@@ -13,7 +9,7 @@ into *sharded, uncompressed, memory-mappable* corpus files:
 * one JSON index per shard (``shard-NNNNNN.json`` — byte offsets,
   dtypes, and shapes per drive per array, and the shard's committed
   extent), committed atomically through
-  :func:`~repro.simulate.cache.atomic_publish`.
+  :func:`~repro.content_store.atomic_publish`.
 
 :meth:`CorpusStore.open_slice` returns a
 :class:`~repro.simulate.columnar.ColumnarLog` whose arrays are
@@ -32,35 +28,40 @@ away; a crash before either leaves nothing. Re-appending a present
 ``run_drives``-style generation resumable: kill a corpus build at drive
 k of n, rerun, and only the n−k missing drives simulate.
 
-**Corruption degrades to misses**, mirroring the self-healing cache
-semantics: a shard whose blob is shorter than its index's committed
-extent (or whose index fails to parse, or references bytes past the
-committed extent) is *quarantined* — both files renamed ``*.corrupt``,
-its drives become misses — while a shard written by a different
-``FORMAT_VERSION`` is skipped as stale, not corrupt. A failed append
-(``OSError``, injected ``cache_write_oserror``) is a counted no-op;
-the drive simply stays missing.
+**Appends are safe with many writers.** Each append holds an exclusive
+``flock`` on ``<root>/.lock`` and re-reads the shard indexes from disk
+before it picks a shard, truncates, or writes, so two handles (or two
+processes) on one root never write over each other's committed bytes,
+and a drive another writer committed meanwhile counts as a duplicate.
+Any number of processes may ``open_slice`` concurrently without the
+lock: index publication is atomic and committed bytes never move.
 
-Environment knobs:
+**Corruption degrades to misses**, mirroring the self-healing
+:class:`~repro.content_store.ContentStore` semantics: a shard whose
+blob is shorter than its index's committed extent (or whose index fails
+to parse, or references bytes past the committed extent) is
+*quarantined* — both files renamed ``*.corrupt``, its drives become
+misses — while a shard written by a different ``FORMAT_VERSION`` is
+skipped as stale, not corrupt. A failed append (``OSError``, injected
+``cache_write_oserror``) is a counted no-op; the drive simply stays
+missing.
 
-* ``REPRO_CORPUS_DIR`` — store root. When set, a default-constructed
-  :class:`~repro.simulate.cache.DriveCache` attaches the store and
-  delegates to it (see :meth:`CorpusStore.from_env`); unset, explicit
-  construction defaults to ``<cache root>/corpus``.
+Environment knobs (parsed in :mod:`repro.env`):
+
+* ``REPRO_CACHE_DIR`` — the default store root is ``<cache>/corpus``.
 * ``REPRO_CORPUS_SHARD_MB`` — target shard size before rolling to a
-  new shard (default 64 MiB).
+  new shard (default 64 MiB; non-positive or non-finite values warn
+  once and fall back to the default).
 * ``REPRO_NO_CACHE=1`` disables the store like every other cache layer.
 
-The store is single-writer, many-reader: generation publishes from one
-parent process (``run_drives``' supervised ``on_result`` hook), while
-any number of processes may ``open_slice`` concurrently. Workers never
-receive corpora over IPC: :class:`CorpusView` parks only
+Workers never receive corpora over IPC: :class:`CorpusView` parks only
 ``(store_path, drive_ids)`` — tens of bytes under pickle — and each
 worker opens its memmaps lazily, on the fork *and* spawn paths alike.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -69,6 +70,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.content_store import atomic_publish, quarantine
+from repro.env import cache_root, caching_enabled, env_float
 from repro.net.bearer import BearerMode
 from repro.simulate.columnar import ARRAY_KEYS, ColumnarLog
 from repro.simulate.serialization import FORMAT_VERSION
@@ -80,21 +83,13 @@ _ALIGN = 64
 _DEFAULT_SHARD_MB = 64.0
 
 
-def _default_root() -> Path:
-    env = os.environ.get("REPRO_CORPUS_DIR")
-    if env:
-        return Path(env)
-    cache_root = os.environ.get("REPRO_CACHE_DIR") or ".repro-cache"
-    return Path(cache_root) / "corpus"
-
-
 def _shard_limit_bytes(shard_mb: float | None) -> int:
     if shard_mb is None:
-        raw = os.environ.get("REPRO_CORPUS_SHARD_MB", "")
-        try:
-            shard_mb = float(raw) if raw else _DEFAULT_SHARD_MB
-        except ValueError:
-            shard_mb = _DEFAULT_SHARD_MB
+        # Between one byte and one TiB: anything else (0, negatives,
+        # NaN, inf) warns once and keeps the default.
+        shard_mb = env_float(
+            "REPRO_CORPUS_SHARD_MB", _DEFAULT_SHARD_MB, minimum=2.0**-20, maximum=2.0**20
+        )
     return max(1, int(shard_mb * 1024 * 1024))
 
 
@@ -137,10 +132,8 @@ class CorpusStore:
         shard_mb: float | None = None,
         enabled: bool | None = None,
     ):
-        if enabled is None:
-            enabled = os.environ.get("REPRO_NO_CACHE", "") != "1"
-        self.root = Path(root) if root is not None else _default_root()
-        self.enabled = enabled
+        self.root = Path(root) if root is not None else cache_root() / "corpus"
+        self.enabled = caching_enabled() if enabled is None else enabled
         self.shard_limit = _shard_limit_bytes(shard_mb)
         self.hits = 0
         self.misses = 0
@@ -158,13 +151,6 @@ class CorpusStore:
         if self.enabled:
             self.refresh()
 
-    @classmethod
-    def from_env(cls) -> "CorpusStore | None":
-        """The store named by ``REPRO_CORPUS_DIR``, or None when unset."""
-        if not os.environ.get("REPRO_CORPUS_DIR"):
-            return None
-        return cls()
-
     # ------------------------------------------------------------------
     # Index loading, validation, and quarantine
     # ------------------------------------------------------------------
@@ -174,6 +160,7 @@ class CorpusStore:
         self._index.clear()
         self._shards.clear()
         self._next_shard = 0
+        self.stale_shards = 0
         if not self.root.is_dir():
             return
         for path in sorted(self.root.glob("shard-*.bin*")) + sorted(
@@ -228,12 +215,8 @@ class CorpusStore:
 
     def _quarantine(self, shard: str) -> None:
         self.quarantined += 1
-        for suffix in (".json", ".bin"):
-            path = self.root / f"{shard}{suffix}"
-            try:
-                path.replace(path.with_name(path.name + ".corrupt"))
-            except OSError:
-                pass
+        quarantine(self.root / f"{shard}.json")
+        quarantine(self.root / f"{shard}.bin")
 
     # ------------------------------------------------------------------
     # Reads: zero-copy slices
@@ -297,11 +280,6 @@ class CorpusStore:
         self.hits += 1
         return ColumnarLog(entry["carrier"], bearer, entry["scenario"], arrays)
 
-    def drive_nbytes(self, drive_id: str) -> int:
-        """Packed payload size of one stored drive (0 when absent)."""
-        found = self._index.get(drive_id)
-        return 0 if found is None else int(found[1]["nbytes"])
-
     @property
     def bytes_indexed(self) -> int:
         """Committed bytes across every readable shard."""
@@ -323,50 +301,57 @@ class CorpusStore:
     def append(self, drive_id: str, clog: ColumnarLog) -> bool:
         """Append one drive; True when newly stored.
 
-        Exactly-once: a present ``drive_id`` is a counted no-op. Write
-        failures degrade to a counted no-op too (the drive stays
-        missing — a rerun regenerates it); the index commit routes
-        through :func:`~repro.simulate.cache.atomic_publish`, so the
+        Exactly-once, across every handle and process on this root: the
+        append holds ``<root>/.lock`` and re-reads the on-disk indexes
+        first, so a ``drive_id`` present on disk — whoever committed
+        it — is a counted no-op. Write failures degrade to a counted
+        no-op too (the drive stays missing — a rerun regenerates it);
+        the index commit routes through
+        :func:`~repro.content_store.atomic_publish`, so the
         fault-injection hooks and crash-consistency guarantees match
-        the per-drive cache's.
+        the content store's.
         """
-        from repro.simulate.cache import atomic_publish
-
         if not self.enabled:
             return False
+        if drive_id in self._index:
+            self.duplicates += 1
+            return False
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            with open(self.root / ".lock", "a+b") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                return self._append_locked(drive_id, clog)
+        except OSError:
+            self.put_failures += 1
+            return False
+
+    def _append_locked(self, drive_id: str, clog: ColumnarLog) -> bool:
+        self.refresh()
         if drive_id in self._index:
             self.duplicates += 1
             return False
         payload, entry = _encode_payload(clog)
         shard = self._writable_shard()
         blob_path = self.root / f"{shard}.bin"
-        index_path = self.root / f"{shard}.json"
         committed = self._shards.get(shard, 0)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with open(blob_path, "r+b" if blob_path.exists() else "w+b") as handle:
-                # Bytes past the committed extent are leftovers of an
-                # append that died before its index commit; reclaim them.
-                handle.truncate(committed)
-                handle.seek(committed)
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            entry = {**entry, "offset": committed}
-            drives = {
-                d: e for d, (s, e) in self._index.items() if s == shard
-            }
-            drives[drive_id] = entry
-            meta = {
-                "format_version": FORMAT_VERSION,
-                "committed_bytes": committed + len(payload),
-                "drives": drives,
-            }
-            with atomic_publish(index_path) as tmp:
-                tmp.write_text(json.dumps(meta, sort_keys=True))
-        except OSError:
-            self.put_failures += 1
-            return False
+        with open(blob_path, "r+b" if blob_path.exists() else "w+b") as handle:
+            # Bytes past the committed extent are leftovers of an
+            # append that died before its index commit; reclaim them.
+            handle.truncate(committed)
+            handle.seek(committed)
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        entry = {**entry, "offset": committed}
+        drives = {d: e for d, (s, e) in self._index.items() if s == shard}
+        drives[drive_id] = entry
+        meta = {
+            "format_version": FORMAT_VERSION,
+            "committed_bytes": committed + len(payload),
+            "drives": drives,
+        }
+        with atomic_publish(self.root / f"{shard}.json") as tmp:
+            tmp.write_text(json.dumps(meta, sort_keys=True))
         self._shards[shard] = committed + len(payload)
         self._index[drive_id] = (shard, entry)
         self.appends += 1

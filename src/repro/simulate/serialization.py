@@ -7,8 +7,8 @@ bit-identical in every field the analyses consume. Useful for caching
 expensive simulations and for shipping generated datasets.
 
 ``FORMAT_VERSION`` gates every on-disk drive-log codec — this JSON
-artifact format and the packed ``.npz`` columnar codec in
-:mod:`repro.simulate.columnar`. Version 2 fixed optional-enum decoding
+artifact format and the corpus store shards of
+:mod:`repro.simulate.corpus`. Version 2 fixed optional-enum decoding
 (``is not None`` instead of truthiness, so falsy enum values survive
 round-trips) and added the columnar sibling; version-1 files are
 rejected rather than risk decoding differently.

@@ -13,7 +13,6 @@ from repro.net.bearer import BearerMode
 from repro.radio.bands import BandClass
 from repro.ran import OPX
 from repro.simulate import fanout
-from repro.simulate.cache import DriveCache
 from repro.simulate.columnar import ARRAY_KEYS
 from repro.simulate.corpus import CorpusStore, CorpusView, DriveRef
 from repro.simulate.runner import run_drives, run_drives_to_store
@@ -38,6 +37,11 @@ def _filled_store(root, **kwargs):
     return store, logs
 
 
+def _shard_files(root):
+    """Everything in the store root but its writer lock."""
+    return sorted(p.name for p in root.iterdir() if p.name != ".lock")
+
+
 def _scenarios():
     return [
         freeway_scenario(OPX, BandClass.LOW, length_km=1.5, seed=41),
@@ -53,22 +57,6 @@ class TestRoundTrip:
             clog = store.open_slice(drive_id)
             assert clog.content_digest() == log.columnar().content_digest()
             assert log_to_dict(clog.to_drive_log()) == log_to_dict(log)
-
-    def test_simulated_drive_matches_npz_roundtrip(self, tmp_path, freeway_low_log):
-        """Memmap-backed logs stay bit-identical to the .npz codec."""
-        from repro.simulate.columnar import load_columnar, save_columnar
-
-        npz = tmp_path / "drive.npz"
-        with open(npz, "wb") as fh:
-            save_columnar(freeway_low_log.columnar(), fh)
-        store = CorpusStore(tmp_path / "corpus", enabled=True)
-        store.append("drive", freeway_low_log.columnar())
-        mapped = store.open_slice("drive")
-        via_npz = load_columnar(npz)
-        assert mapped.content_digest() == via_npz.content_digest()
-        assert log_to_dict(mapped.to_drive_log()) == log_to_dict(
-            via_npz.to_drive_log()
-        )
 
     def test_views_read_only_and_survive_reopen(self, tmp_path):
         store, logs = _filled_store(tmp_path)
@@ -99,7 +87,7 @@ class TestRoundTrip:
     def test_shard_rollover(self, tmp_path):
         store, _ = _filled_store(tmp_path, shard_mb=1e-6)
         assert store.stats["shards"] == 3
-        names = sorted(p.name for p in tmp_path.iterdir())
+        names = _shard_files(tmp_path)
         assert names == [
             "shard-000000.bin",
             "shard-000000.json",
@@ -120,17 +108,23 @@ class TestRoundTrip:
         assert not tmp_path.exists() or not list(tmp_path.iterdir())
 
     def test_env_knobs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CORPUS_DIR", str(tmp_path / "corpus"))
-        monkeypatch.setenv("REPRO_CORPUS_SHARD_MB", "7")
-        store = CorpusStore.from_env()
-        assert store.root == tmp_path / "corpus"
-        assert store.shard_limit == 7 * 1024 * 1024
-        monkeypatch.delenv("REPRO_CORPUS_DIR")
-        assert CorpusStore.from_env() is None
-        # Explicit construction without the env var lands next to the
-        # drive cache.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert CorpusStore().root == tmp_path / "cache" / "corpus"
+        monkeypatch.setenv("REPRO_CORPUS_SHARD_MB", "7")
+        store = CorpusStore()
+        assert store.root == tmp_path / "cache" / "corpus"
+        assert store.shard_limit == 7 * 1024 * 1024
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-5", "abc"])
+    def test_bad_shard_mb_warns_once_and_defaults(self, tmp_path, monkeypatch, raw):
+        from repro import env
+
+        monkeypatch.setattr(env, "_warned", set())
+        monkeypatch.setenv("REPRO_CORPUS_SHARD_MB", raw)
+        with pytest.warns(RuntimeWarning, match="REPRO_CORPUS_SHARD_MB") as caught:
+            first = CorpusStore(tmp_path, enabled=True)
+            second = CorpusStore(tmp_path, enabled=True)
+        assert len(caught) == 1
+        assert first.shard_limit == second.shard_limit == 64 * 1024 * 1024
 
 
 class TestFailureModes:
@@ -142,7 +136,7 @@ class TestFailureModes:
         assert store.stats["quarantined"] == 1
         assert store.open_slice("d1") is None
         assert store.stats["misses"] == 1
-        names = sorted(p.name for p in tmp_path.iterdir())
+        names = _shard_files(tmp_path)
         assert names == ["shard-000000.bin.corrupt", "shard-000000.json.corrupt"]
 
     def test_index_shard_mismatch_detected(self, tmp_path):
@@ -218,6 +212,82 @@ class TestFailureModes:
         assert reopened.open_slice("d5") is not None
 
 
+def _variant_log(index):
+    """A distinct tiny log per index (bearer x band combinations)."""
+    bearers = [None, *BearerMode]
+    bands = [None, *BandClass]
+    return make_optional_field_log(
+        bearer=bearers[index % len(bearers)], band=bands[index // len(bearers)]
+    )
+
+
+#: Writer-test drive ids: four processes (more than CI's cores) each
+#: own two ids, and all share two, appended in alternating order.
+_WRITER_IDS = {
+    k: [f"p{k}-a", f"p{k}-b", *(["s-a", "s-b"] if k % 2 else ["s-b", "s-a"])]
+    for k in range(4)
+}
+_ALL_WRITER_IDS = sorted({i for ids in _WRITER_IDS.values() for i in ids})
+
+
+def _writer(root, shard_mb, which, start):
+    # Child-process body: one long-lived handle appends its ids, so its
+    # in-memory index goes stale as the other writer commits.
+    store = CorpusStore(root, enabled=True, shard_mb=shard_mb)
+    start.wait(30)
+    for drive_id in _WRITER_IDS[which]:
+        store.append(drive_id, _variant_log(_ALL_WRITER_IDS.index(drive_id)).columnar())
+    os._exit(0 if store.put_failures == 0 else 3)
+
+
+class TestWriters:
+    def test_two_handles_interleave(self, tmp_path):
+        """Stale handles never overwrite or drop each other's drives."""
+        logs = _sample_logs()
+        first = CorpusStore(tmp_path, enabled=True)
+        second = CorpusStore(tmp_path, enabled=True)
+        assert first.append("d1", logs["d1"].columnar())
+        assert second.append("d2", logs["d2"].columnar())
+        assert first.append("d3", logs["d3"].columnar())
+
+        reopened = CorpusStore(tmp_path, enabled=True)
+        assert reopened.stats["quarantined"] == 0
+        for drive_id, log in logs.items():
+            clog = reopened.open_slice(drive_id)
+            assert clog is not None
+            assert clog.content_digest() == log.columnar().content_digest()
+        assert sorted(reopened.drive_ids()) == ["d1", "d2", "d3"]
+        # A drive the other handle committed meanwhile is a duplicate.
+        assert not second.append("d3", logs["d3"].columnar())
+        assert second.stats["duplicates"] == 1
+
+    @pytest.mark.parametrize("shard_mb", [None, 1e-6], ids=["one-shard", "rollover"])
+    def test_two_process_writers(self, tmp_path, shard_mb):
+        ctx = fanout.fork_context()
+        if ctx is None:
+            pytest.skip("fork start method unavailable")
+        start = ctx.Event()
+        children = [
+            ctx.Process(target=_writer, args=(tmp_path, shard_mb, which, start))
+            for which in _WRITER_IDS
+        ]
+        for child in children:
+            child.start()
+        start.set()
+        for child in children:
+            child.join(timeout=120)
+            assert child.exitcode == 0
+
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        store = CorpusStore(tmp_path, enabled=True)
+        assert store.stats["quarantined"] == 0
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".corrupt")]
+        assert sorted(store.drive_ids()) == _ALL_WRITER_IDS
+        for index, drive_id in enumerate(_ALL_WRITER_IDS):
+            expected = _variant_log(index).columnar().content_digest()
+            assert store.open_slice(drive_id).content_digest() == expected
+
+
 class TestResume:
     def test_resume_after_kill_regenerates_only_missing(self, tmp_path):
         """Kill generation mid-corpus; the rerun simulates only the rest."""
@@ -239,7 +309,7 @@ class TestResume:
 
             CorpusStore.append = mortal_append
             try:
-                run_drives_to_store(scenarios, workers=1, store=store, use_cache=False)
+                run_drives_to_store(scenarios, workers=1, store=store)
             finally:
                 CorpusStore.append = original
             os._exit(0)  # not reached
@@ -251,9 +321,7 @@ class TestResume:
 
         survivor = CorpusStore(root, enabled=True)
         assert len(survivor) == 2  # two committed drives survived the kill
-        view = run_drives_to_store(
-            scenarios, workers=1, store=survivor, use_cache=False
-        )
+        view = run_drives_to_store(scenarios, workers=1, store=survivor)
         assert survivor.stats["appends"] == 1  # only the missing drive ran
         assert len(survivor) == 3
         reference = run_drives(scenarios, workers=1, use_cache=False)
@@ -263,83 +331,14 @@ class TestResume:
     def test_second_build_simulates_nothing(self, tmp_path):
         scenarios = _scenarios()[:2]
         store = CorpusStore(tmp_path / "corpus", enabled=True)
-        run_drives_to_store(scenarios, workers=1, store=store, use_cache=False)
+        run_drives_to_store(scenarios, workers=1, store=store)
         assert store.stats["appends"] == 2
         resumed = CorpusStore(tmp_path / "corpus", enabled=True)
-        view = run_drives_to_store(
-            scenarios, workers=1, store=resumed, use_cache=False
-        )
+        view = run_drives_to_store(scenarios, workers=1, store=resumed)
         assert resumed.stats["appends"] == 0
         reference = run_drives(scenarios, workers=1, use_cache=False)
         for a, b in zip(view, reference):
             assert log_to_dict(a) == log_to_dict(b)
-
-    def test_npz_cache_hits_migrate_instead_of_simulating(self, tmp_path):
-        scenarios = _scenarios()[:2]
-        npz_cache = DriveCache(tmp_path / "cache", store=None)
-        run_drives(scenarios, workers=1, cache=npz_cache)
-        assert npz_cache.stats["stores"] == 2
-
-        store = CorpusStore(tmp_path / "corpus", enabled=True)
-        cache = DriveCache(tmp_path / "cache", store=store)
-        view = run_drives_to_store(scenarios, workers=1, store=store, cache=cache)
-        # Both drives came out of the .npz entries, not the simulator:
-        # migration appends happen inside get_columnar.
-        assert store.stats["appends"] == 2
-        assert cache.stats["hits"] == 2
-        reference = run_drives(scenarios, workers=1, use_cache=False)
-        for a, b in zip(view, reference):
-            assert log_to_dict(a) == log_to_dict(b)
-
-
-class TestDriveCacheDelegation:
-    def test_put_appends_to_store_not_npz(self, tmp_path, freeway_low_log):
-        scenario = freeway_scenario(OPX, BandClass.LOW, length_km=1.5, seed=44)
-        log = scenario.run()
-        store = CorpusStore(tmp_path / "corpus", enabled=True)
-        cache = DriveCache(tmp_path / "cache", store=store)
-        cache.put(scenario, log)
-        assert cache.stats["stores"] == 1
-        assert store.stats["appends"] == 1
-        assert not (tmp_path / "cache").exists()  # no .npz written
-        hit = cache.get(scenario)
-        assert cache.stats["hits"] == 1
-        assert log_to_dict(hit) == log_to_dict(log)
-
-    def test_get_columnar_skips_rebuild(self, tmp_path):
-        scenario = freeway_scenario(OPX, BandClass.LOW, length_km=1.5, seed=45)
-        log = scenario.run()
-        cache = DriveCache(tmp_path, store=None)
-        cache.put(scenario, log)
-        clog = cache.get_columnar(scenario)
-        assert clog is not None
-        assert cache.stats["hits"] == 1
-        assert clog.content_digest() == log.columnar().content_digest()
-        assert cache.get_columnar(
-            freeway_scenario(OPX, BandClass.LOW, length_km=1.5, seed=46)
-        ) is None
-        assert cache.stats["misses"] == 1
-
-    def test_npz_hit_migrates_into_store(self, tmp_path):
-        scenario = freeway_scenario(OPX, BandClass.LOW, length_km=1.5, seed=47)
-        log = scenario.run()
-        DriveCache(tmp_path / "cache", store=None).put(scenario, log)
-        store = CorpusStore(tmp_path / "corpus", enabled=True)
-        cache = DriveCache(tmp_path / "cache", store=store)
-        first = cache.get_columnar(scenario)
-        assert first is not None and store.stats["appends"] == 1
-        # Second lookup serves the memory-mapped corpus slice.
-        second = cache.get_columnar(scenario)
-        assert store.stats["hits"] == 1
-        assert second.content_digest() == first.content_digest()
-
-    def test_env_attaches_store_to_default_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CORPUS_DIR", str(tmp_path / "corpus"))
-        cache = DriveCache(tmp_path / "cache")
-        assert isinstance(cache.store, CorpusStore)
-        assert cache.store.root == tmp_path / "corpus"
-        monkeypatch.delenv("REPRO_CORPUS_DIR")
-        assert DriveCache(tmp_path / "cache").store is None
 
 
 class TestViews:
@@ -383,9 +382,7 @@ class TestPrognosOverView:
         scenarios = _scenarios()[:2]
         logs = run_drives(scenarios, workers=1, use_cache=False)
         store = CorpusStore(tmp_path / "corpus", enabled=True)
-        view = run_drives_to_store(
-            scenarios, workers=1, store=store, use_cache=False
-        )
+        view = run_drives_to_store(scenarios, workers=1, store=store)
         configs = configs_for_log(OPX, (BandClass.LOW,))
         from_list = run_prognos_over_logs(logs, configs, stride=64)
         from_view = run_prognos_over_logs(view, configs, stride=64)

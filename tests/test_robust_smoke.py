@@ -24,7 +24,7 @@ from repro.core.evaluation import configs_for_log, run_prognos_over_logs
 from repro.net.emulation import BandwidthTrace
 from repro.radio.bands import BandClass
 from repro.ran import OPX
-from repro.simulate.cache import DriveCache
+from repro.simulate.corpus import CorpusStore
 from repro.simulate.runner import run_drives
 from repro.simulate.scenarios import freeway_scenario
 from repro.simulate.serialization import log_to_dict
@@ -82,19 +82,19 @@ def test_crash_mid_corpus_still_populates_cache(
 ):
     """A worker crash on one drive loses nothing: the run completes,
     every log is bit-identical to the serial reference, and every drive
-    — including the crashed-and-retried one — lands in the cache."""
+    — including the crashed-and-retried one — lands in the store."""
     monkeypatch.setenv("REPRO_FAULTS", "worker_crash:key=1:attempts=1")
     scenarios = _scenarios()
-    cache = DriveCache(tmp_path)
-    logs = run_drives(scenarios, workers=2, cache=cache)
+    store = CorpusStore(tmp_path, enabled=True)
+    logs = run_drives(scenarios, workers=2, store=store)
     for a, b in zip(serial_logs, logs):
         assert log_to_dict(a) == log_to_dict(b)
-    assert cache.stats["stores"] == len(scenarios)
-    assert cache.stats["put_failures"] == 0
+    assert store.stats["appends"] == len(scenarios)
+    assert store.stats["put_failures"] == 0
 
     monkeypatch.delenv("REPRO_FAULTS")
-    warm = DriveCache(tmp_path)
-    again = run_drives(scenarios, workers=2, cache=warm)
+    warm = CorpusStore(tmp_path, enabled=True)
+    again = run_drives(scenarios, workers=2, store=warm)
     assert warm.stats["hits"] == len(scenarios)
     for a, b in zip(serial_logs, again):
         assert log_to_dict(a) == log_to_dict(b)

@@ -1,4 +1,4 @@
-"""run_drives determinism and the on-disk corpus cache."""
+"""run_drives determinism and its on-disk corpus store."""
 
 from __future__ import annotations
 
@@ -8,8 +8,10 @@ import pytest
 from repro.radio.bands import BandClass
 from repro.radio.rrs import RadioEnvironment
 from repro.ran import OPX
+from repro.content_store import atomic_publish
 from repro.simulate import fanout
-from repro.simulate.cache import DriveCache, atomic_publish, scenario_fingerprint
+from repro.simulate.cache import scenario_fingerprint, scenario_key
+from repro.simulate.corpus import CorpusStore
 from repro.simulate.runner import run_drives
 from repro.simulate.scenarios import freeway_scenario
 from repro.simulate.serialization import log_to_dict
@@ -34,70 +36,68 @@ def test_parallel_matches_serial(serial_logs):
         assert log_to_dict(a) == log_to_dict(b)
 
 
+def _shard_files(root):
+    return sorted(p.name for p in root.iterdir() if p.name != ".lock")
+
+
 def test_cache_round_trip(tmp_path, serial_logs):
     scenarios = _scenarios()
-    cache = DriveCache(tmp_path)
-    first = run_drives(scenarios, workers=1, cache=cache)
-    assert cache.stats == {
-        "hits": 0,
-        "misses": 2,
-        "stores": 2,
-        "put_failures": 0,
-        "corrupt": 0,
-    }
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        f"{DriveCache.key_for(s)}.npz" for s in scenarios
-    )
+    store = CorpusStore(tmp_path, enabled=True)
+    first = run_drives(scenarios, workers=1, store=store)
+    assert (store.hits, store.misses, store.appends, store.put_failures) == (0, 2, 2, 0)
+    assert _shard_files(tmp_path) == ["shard-000000.bin", "shard-000000.json"]
+    assert sorted(store.drive_ids()) == sorted(scenario_key(s) for s in scenarios)
 
-    warm = DriveCache(tmp_path)
-    second = run_drives(scenarios, workers=1, cache=warm)
-    assert warm.stats == {
-        "hits": 2,
-        "misses": 0,
-        "stores": 0,
-        "put_failures": 0,
-        "corrupt": 0,
-    }
+    warm = CorpusStore(tmp_path, enabled=True)
+    second = run_drives(scenarios, workers=1, store=warm)
+    assert (warm.hits, warm.misses, warm.appends, warm.put_failures) == (2, 0, 0, 0)
+    assert warm.stats["quarantined"] == 0
     for a, b, c in zip(serial_logs, first, second):
         assert log_to_dict(a) == log_to_dict(b) == log_to_dict(c)
 
 
-def test_cache_dir_env(tmp_path, monkeypatch):
+def test_cache_dir_env(tmp_path, monkeypatch, serial_logs):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "relocated"))
-    cache = DriveCache()
-    assert cache.root == tmp_path / "relocated"
-    assert cache.enabled
+    store = CorpusStore()
+    assert store.root == tmp_path / "relocated" / "corpus"
+    assert store.enabled
+    # The default run_drives store lands there too.
+    (log,) = run_drives(_scenarios()[:1], workers=1)
+    assert log_to_dict(log) == log_to_dict(serial_logs[0])
+    assert len(CorpusStore()) == 1
 
 
 def test_no_cache_env(tmp_path, monkeypatch, serial_logs):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache = DriveCache()
-    assert not cache.enabled
+    store = CorpusStore()
+    assert not store.enabled
     scenario = _scenarios()[0]
-    cache.put(scenario, serial_logs[0])
+    assert not store.append(scenario_key(scenario), serial_logs[0].columnar())
+    (log,) = run_drives([scenario], workers=1)
+    assert log_to_dict(log) == log_to_dict(serial_logs[0])
     assert not tmp_path.exists() or not list(tmp_path.iterdir())
-    assert cache.get(scenario) is None
-    assert cache.stats["misses"] == 1
+    assert store.open_slice(scenario_key(scenario)) is None
+    assert store.stats["misses"] == 1
 
 
-def _hammer_put(root, repeats):
+def _hammer_append(root, repeats):
     # Child-process body for the concurrent-writer stress test. Rebuilds
-    # the scenario/log locally so nothing large crosses the fork.
+    # the scenario/log locally so nothing large crosses the fork, and
+    # opens a fresh handle per attempt so every append races on disk.
     scenario = _scenarios()[0]
-    log = scenario.run()
-    cache = DriveCache(root)
+    clog = scenario.run().columnar()
     for _ in range(repeats):
-        cache.put(scenario, log)
+        CorpusStore(root, enabled=True).append(scenario_key(scenario), clog)
 
 
 def test_concurrent_writers_same_key(tmp_path, serial_logs):
-    """Two processes hammer ``put`` on one key; the loser's entry loads."""
+    """Two processes hammer ``append`` on one key; exactly one entry loads."""
     ctx = fanout.fork_context()
     if ctx is None:
         pytest.skip("fork start method unavailable")
     children = [
-        ctx.Process(target=_hammer_put, args=(tmp_path, 5)) for _ in range(2)
+        ctx.Process(target=_hammer_append, args=(tmp_path, 5)) for _ in range(2)
     ]
     for child in children:
         child.start()
@@ -107,12 +107,13 @@ def test_concurrent_writers_same_key(tmp_path, serial_logs):
     scenario = _scenarios()[0]
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
     assert leftovers == []
-    assert [p.name for p in tmp_path.iterdir()] == [
-        f"{DriveCache.key_for(scenario)}.npz"
-    ]
-    survivor = DriveCache(tmp_path).get(scenario)
-    assert survivor is not None
-    assert log_to_dict(survivor) == log_to_dict(serial_logs[0])
+    assert _shard_files(tmp_path) == ["shard-000000.bin", "shard-000000.json"]
+    survivor = CorpusStore(tmp_path, enabled=True)
+    assert survivor.drive_ids() == [scenario_key(scenario)]
+    assert survivor.stats["quarantined"] == 0
+    clog = survivor.open_slice(scenario_key(scenario))
+    assert clog is not None
+    assert log_to_dict(clog.to_drive_log()) == log_to_dict(serial_logs[0])
 
 
 def test_atomic_publish_cleans_up_on_failure(tmp_path):
@@ -138,9 +139,9 @@ def test_atomic_publish_temp_names_unique(tmp_path):
 
 def test_fingerprint_tracks_inputs():
     a, b = _scenarios()
-    assert DriveCache.key_for(a) != DriveCache.key_for(b)
+    assert scenario_key(a) != scenario_key(b)
     same = freeway_scenario(OPX, BandClass.LOW, length_km=1.5, seed=31)
-    assert DriveCache.key_for(a) == DriveCache.key_for(same)
+    assert scenario_key(a) == scenario_key(same)
     fp = scenario_fingerprint(a)
     assert fp["seed"] == 31 and fp["code_version"]
 
