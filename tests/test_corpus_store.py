@@ -341,6 +341,26 @@ class TestResume:
             assert log_to_dict(a) == log_to_dict(b)
 
 
+class TestDriveCacheDelegation:
+    def test_put_appends_to_store_not_npz(self, tmp_path, monkeypatch):
+        # The drive cache is the corpus store: a simulated drive is
+        # appended to a shard and no per-drive file lands anywhere else.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        scenario = freeway_scenario(OPX, BandClass.LOW, length_km=1.5, seed=44)
+        log = scenario.run()
+        store = CorpusStore(tmp_path / "corpus", enabled=True)
+        (stored,) = run_drives([scenario], workers=1, store=store)
+        assert store.stats["appends"] == 1
+        assert store.stats["misses"] == 1
+        assert _shard_files(tmp_path / "corpus") == ["shard-000000.bin", "shard-000000.json"]
+        assert not (tmp_path / "cache").exists()  # no .npz written
+        warm = CorpusStore(tmp_path / "corpus", enabled=True)
+        (hit,) = run_drives([scenario], workers=1, store=warm)
+        assert warm.stats["hits"] == 1
+        assert warm.stats["appends"] == 0
+        assert log_to_dict(hit) == log_to_dict(stored) == log_to_dict(log)
+
+
 class TestViews:
     def test_ref_and_view_pickle_small(self, tmp_path):
         store, logs = _filled_store(tmp_path)
